@@ -145,10 +145,10 @@ def build_ground_truth(
     diam = np.asarray([pipes[pid].diameter_mm for pid in pipe_ids])
     is_cwm = np.asarray([pipes[pid].pipe_class is PipeClass.CWM for pid in pipe_ids])
 
-    soil_values = soil.sample([tuple(m) for m in midpoints])
+    soil_values = soil.sample(midpoints)
     corr_sev = corrosiveness_severity(soil_values["soil_corrosiveness"])
     expa_sev = expansiveness_severity(soil_values["soil_expansiveness"])
-    dist_int = traffic.distance_to_nearest([tuple(m) for m in midpoints])
+    dist_int = traffic.distance_to_nearest(midpoints)
 
     base = np.asarray([_MATERIAL_BASE[m] for m in materials])
     ageing = np.asarray([_MATERIAL_AGEING[m] for m in materials])
@@ -156,7 +156,7 @@ def build_ground_truth(
     brittle = np.asarray([m in _BRITTLE_MATERIALS for m in materials])
 
     # Latent cohorts: (material, era) batch quality — some vintages were bad.
-    eras = np.asarray([era_bucket(int(y)) for y in laid])
+    eras = era_bucket(laid)
     mat_idx = np.asarray([list(Material).index(m) for m in materials])
     cohort = eras * len(Material) + mat_idx
     # Large batch variance: some (material, vintage) combinations were simply

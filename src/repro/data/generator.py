@@ -30,9 +30,14 @@ _ERAS = (1930, 1955, 1975, 1990)
 _SEGMENT_TARGET = {"CWM": 45.0, "RWM": 32.0}
 
 
-def era_bucket(laid_year: int) -> int:
-    """Installation-era index 0..4 (pre-1930 … post-1990)."""
-    return int(np.searchsorted(np.asarray(_ERAS), laid_year, side="right"))
+def era_bucket(laid_year: int | np.ndarray) -> int | np.ndarray:
+    """Installation-era index 0..4 (pre-1930 … post-1990).
+
+    A scalar year gives an ``int``; an array of years gives an integer
+    array of the same shape from one ``searchsorted`` call.
+    """
+    eras = np.searchsorted(_ERAS, laid_year, side="right")
+    return int(eras) if eras.ndim == 0 else eras
 
 
 def _material_mix(era: int, is_cwm: bool) -> tuple[list[Material], list[float]]:

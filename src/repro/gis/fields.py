@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from ..network.geometry import BoundingBox, Point
-from ..network.spatial import GridIndex
 
 
 @dataclass
@@ -31,21 +30,25 @@ class CategoricalField:
         self.seeds = np.asarray(self.seeds, dtype=float)
         if self.seeds.ndim != 2 or self.seeds.shape[1] != 2:
             raise ValueError("seeds must be (n, 2)")
+        if len(self.seeds) == 0:
+            raise ValueError("need at least one seed")
         if len(self.labels) != len(self.seeds):
             raise ValueError("need one label per seed")
         unknown = set(self.labels) - set(self.categories)
         if unknown:
             raise ValueError(f"labels {unknown} missing from categories")
-        self._index = GridIndex([tuple(s) for s in self.seeds])
+        from scipy.spatial import cKDTree  # lazy: keeps scipy.spatial out of `import repro`
+
+        self._tree = cKDTree(self.seeds)
 
     def value_at(self, p: Point) -> str:
         """Category at point ``p``."""
-        idx, _ = self._index.nearest(p)
-        return self.labels[idx]
+        return self.values_at([p])[0]
 
-    def values_at(self, points: Sequence[Point]) -> list[str]:
-        """Categories at many points."""
-        return [self.value_at(p) for p in points]
+    def values_at(self, points: Sequence[Point] | np.ndarray) -> list[str]:
+        """Categories at many points: one k-d tree query for all of them."""
+        _, idx = self._tree.query(np.asarray(points, dtype=float).reshape(-1, 2))
+        return [self.labels[i] for i in idx.tolist()]
 
     @staticmethod
     def random(

@@ -8,13 +8,13 @@ traffic intersection (Table 18.2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..network.geometry import BoundingBox, Point
-from ..network.spatial import GridIndex
 
 
 @dataclass
@@ -29,15 +29,27 @@ class TrafficNetwork:
             raise ValueError("intersections must be (n, 2)")
         if len(self.intersections) == 0:
             raise ValueError("need at least one intersection")
-        self._index = GridIndex([tuple(p) for p in self.intersections])
+        from scipy.spatial import cKDTree  # lazy: keeps scipy.spatial out of `import repro`
+
+        self._tree = cKDTree(self.intersections)
 
     @property
     def n_intersections(self) -> int:
         return len(self.intersections)
 
-    def distance_to_nearest(self, points: Sequence[Point]) -> np.ndarray:
-        """Distance (m) from each point to its closest intersection."""
-        return self._index.nearest_distances(points)
+    def distance_to_nearest(self, points: Sequence[Point] | np.ndarray) -> np.ndarray:
+        """Distance (m) from each point to its closest intersection.
+
+        The k-d tree finds the nearest intersection; the distance to it is
+        recomputed with ``math.hypot``, whose rounding the generated data
+        (and its recorded digests) are built on.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        _, idx = self._tree.query(pts)
+        nearest = self.intersections[idx]
+        dx = (pts[:, 0] - nearest[:, 0]).tolist()
+        dy = (pts[:, 1] - nearest[:, 1]).tolist()
+        return np.fromiter(map(math.hypot, dx, dy), float, len(pts))
 
     @staticmethod
     def from_street_grid(

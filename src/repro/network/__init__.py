@@ -1,4 +1,4 @@
-"""Pipe network substrate: geometry, asset model, network container, spatial index."""
+"""Pipe network substrate: geometry, asset model, network container."""
 
 from .geometry import (
     BoundingBox,
@@ -21,7 +21,6 @@ from .pipe import (
     PipeClass,
     PipeSegment,
 )
-from .spatial import GridIndex
 
 __all__ = [
     "BoundingBox",
@@ -42,5 +41,4 @@ __all__ = [
     "Pipe",
     "PipeClass",
     "PipeSegment",
-    "GridIndex",
 ]

@@ -2,6 +2,10 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,19 @@ class TestExports:
             assert hasattr(repro.runs, name), f"repro.runs.{name} missing"
         for name in ("CellSpec", "FaultInjector", "RunJournal", "RunPolicy"):
             assert getattr(repro, name) is getattr(repro.runs, name)
+
+
+def test_import_is_lean():
+    """``import repro`` leaves networkx and scipy.spatial to their first use."""
+    probe = (
+        "import sys, repro; "
+        "print(sorted(m for m in ('networkx', 'scipy.spatial') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestGetParamsContract:
