@@ -24,17 +24,41 @@ for ``q_k``), with Neal's Algorithm 8 auxiliary-cluster moves for the CRP
 assignments and ``ρ_l`` collapsed out of the assignment and ``q_k`` blocks
 (the Beta–Binomial marginal). Because every segment has the same number of
 observation years ``m`` and tiny failure counts, the per-cluster
-Beta–Binomial terms are precomputed as a ``(K, m+1)`` table once per sweep
+Beta–Binomial terms are kept as an ``(m+1, K)`` table, one column per cluster
 — the sparsity-exploiting approximation that keeps sweeps linear in the
 number of segments.
 
-The implementation keeps the sequential CRP scan (Algorithm 8 is
-inherently one-segment-at-a-time) but everything inside and around it is
-vectorized: auxiliary-cluster weights come from one ``betaln`` call over
-all ``n_aux`` candidates, the categorical draw is a Gumbel-max over the
-log-weights (no normalisation, no ``rng.choice``), the live cluster-size
-array is authoritative during the sweep and synced back to the cluster
-state once per sweep, the ``q_k`` block scores a cluster through its
+Algorithm 8 is a sequential scan: each segment's draw sees the counts
+left by every earlier visit. The implementation runs exactly that scan,
+but a block of segments at a time (:class:`_CRPScan`). It guesses that
+every segment in the block stays put, builds the whole block's
+log-weights under that guess, adds each visit's Gumbel noise and takes
+the row-wise argmax (a Gumbel-max categorical draw). The first row whose
+draw differs from its guess saw only true counts, so its draw is the
+sequential scan's draw; the block commits through that row and repeats
+on the rest with the new draws as the guess. On the benchmark traffic
+about one visit in ten moves and a block of 512 settles in about three
+rounds.
+
+A birth or death changes the number of clusters, and with it the width
+of every later row, so the block stops there and that one visit runs on
+its own. The random stream is unchanged. ``rng.gumbel(size=n)`` is the
+concatenation of ``n`` single draws, so the scan reads its Gumbel noise
+ahead in chunks and hands each visit the next ``K + n_aux`` values,
+whatever ``K`` is at that visit (:class:`_GumbelStream`). When the sweep
+ends the generator is rewound to just after the last value used, by
+restoring the state saved before that value's chunk and replaying the
+chunk's used part. The ``q_k`` block therefore starts from the generator
+state a one-visit-at-a-time scan leaves.
+
+The weights are the same sums as the one-visit formula, added in a
+different order and with the feature dot products taken by ``einsum``,
+so they can differ in the last bit. A draw could only change if two
+noisy log-weights tied to within a few ulps. ``tests/test_dpmhbp.py``
+pins posteriors recorded with a plain one-visit-at-a-time scan.
+
+Around the scan: auxiliary-cluster weights for every segment come from
+one ``betaln`` call, the ``q_k`` block scores a cluster through its
 (m+1)-bin failure-count histogram instead of its member vector, and the
 conjugate Gaussian block updates every cluster mean in one batch.
 """
@@ -168,22 +192,28 @@ class DPMHBPPosterior:
             raise ValueError(f"corrupt DPMHBP chain checkpoint {path}: {exc}") from exc
 
 
-class _ClusterState:
-    """Mutable cluster bookkeeping for the Gibbs sweeps."""
+class _Clusters:
+    """Live cluster parameters as arrays, one entry per cluster.
+
+    ``bbT`` is the Beta–Binomial table stored as ``(m+1, K)``, so a block
+    of segments gathers its existing-cluster terms with one row index.
+    A birth appends one entry to every array and a death deletes one.
+    """
 
     def __init__(self, c_group: float, m: float, d: int):
         self.c = c_group
         self.m = m
-        self.d = d
-        self.q: list[float] = []
-        self.mu: list[np.ndarray] = []
-        self.count: list[int] = []
-        self.bb_table: list[np.ndarray] = []  # (m+1,) per cluster
         self._s_grid = np.arange(m + 1.0)
+        self.q = np.zeros(0)
+        self.mu = np.zeros((0, d))
+        self.mu_sq = np.zeros(0)
+        self.count = np.zeros(0, dtype=np.int64)
+        self.bbT = np.zeros((int(m) + 1, 0))
+        self.scales: list[AdaptiveScale] = []
 
     @property
     def k(self) -> int:
-        return len(self.q)
+        return self.q.size
 
     def bb_column(self, q: float) -> np.ndarray:
         """Beta–Binomial log marginal for s = 0..m at group rate ``q``."""
@@ -192,23 +222,295 @@ class _ClusterState:
         b = self.c * (1.0 - q)
         return betaln(a + s, b + self.m - s) - betaln(a, b)
 
-    def add(self, q: float, mu: np.ndarray, count: int = 0) -> int:
-        self.q.append(float(q))
-        self.mu.append(np.asarray(mu, dtype=float))
-        self.count.append(count)
-        self.bb_table.append(self.bb_column(q))
+    def add(self, q: float, mu: np.ndarray, count: int) -> int:
+        self.q = np.append(self.q, q)
+        self.mu = np.vstack([self.mu, mu])
+        self.mu_sq = np.append(self.mu_sq, float(mu @ mu))
+        self.count = np.append(self.count, count)
+        self.bbT = np.column_stack([self.bbT, self.bb_column(q)])
+        self.scales.append(AdaptiveScale())
         return self.k - 1
 
     def remove(self, k: int) -> None:
-        for attr in (self.q, self.mu, self.count, self.bb_table):
-            attr.pop(k)
+        self.q = np.delete(self.q, k)
+        self.mu = np.delete(self.mu, k, axis=0)
+        self.mu_sq = np.delete(self.mu_sq, k)
+        self.count = np.delete(self.count, k)
+        self.bbT = np.delete(self.bbT, k, axis=1)
+        self.scales.pop(k)
 
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(counts, bb (K, m+1), mu (K, d), ‖mu‖² (K,)) as arrays."""
-        counts = np.asarray(self.count, dtype=float)
-        bb = np.asarray(self.bb_table)
-        mu = np.asarray(self.mu)
-        return counts, bb, mu, np.sum(mu**2, axis=1)
+
+#: Prior variance ``τ²`` of the cluster feature means.
+_TAU2 = 1.0
+
+#: Bounds of the speculative scan's adaptive block size (segments).
+_BLOCK_MIN = 8
+_BLOCK_MAX = 512
+#: Most Gumbel draws the scan reads ahead of the visit it is on.
+_READ_AHEAD = 1 << 18
+
+
+class _GumbelStream:
+    """The scan's Gumbel noise, drawn ahead of use in chunks.
+
+    A chunk of ``n`` draws equals ``n`` consecutive single draws, so
+    reading ahead leaves the stream as it is. Only the scan draws from the
+    generator while it runs; :meth:`finish` then rewinds the generator to
+    just after the last draw actually used, by restoring the state saved
+    before that draw's chunk and replaying the chunk's used part.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self._reset()
+
+    def _reset(self) -> None:
+        self.buf = np.zeros(0)
+        self.ptr = 0  # next unused draw in ``buf``
+        self.base = 0  # stream position of ``buf[0]``
+        self.chunks: list[tuple[int, dict]] = []  # (stream position, state before)
+
+    def peek(self, n: int, ahead: int) -> np.ndarray:
+        """The next ``n`` draws, without using them up.
+
+        A refill reads up to ``ahead`` draws (capped at ``_READ_AHEAD``),
+        the caller's estimate of what the rest of the sweep needs.
+        """
+        avail = self.buf.size - self.ptr
+        if n > avail:
+            self.chunks.append((self.base + self.buf.size, self.rng.bit_generator.state))
+            fresh = self.rng.gumbel(size=max(n, min(ahead, _READ_AHEAD)) - avail)
+            self.base += self.ptr
+            self.buf = np.concatenate([self.buf[self.ptr :], fresh])
+            self.ptr = 0
+        return self.buf[self.ptr : self.ptr + n]
+
+    def take(self, n: int) -> np.ndarray:
+        out = self.peek(n, n)
+        self.ptr += n
+        return out
+
+    def finish(self) -> None:
+        """Rewind the generator to just after the last draw used."""
+        used = self.base + self.ptr
+        if self.ptr < self.buf.size:
+            start, state = next(c for c in reversed(self.chunks) if c[0] <= used)
+            self.rng.bit_generator.state = state
+            if used > start:
+                self.rng.gumbel(size=used - start)
+        self._reset()
+
+
+class _CRPScan:
+    """One fit's Algorithm 8 scan, run in speculative blocks.
+
+    See the module docstring for why the blocks are exact. The block size
+    halves after a birth or death and doubles after a clean block, within
+    ``[_BLOCK_MIN, _BLOCK_MAX]``.
+    """
+
+    def __init__(
+        self,
+        sampler: "DPMHBP",
+        clusters: _Clusters,
+        z: np.ndarray,
+        s: np.ndarray,
+        feats: np.ndarray | None,
+        sigma2: float,
+        m: float,
+        rng: np.random.Generator,
+    ):
+        self.clusters = clusters
+        self.z = z
+        self.s = s
+        self.s_f = s.astype(float)
+        self.feats = feats
+        self.sigma2 = sigma2
+        self.m = m
+        self.rng = rng
+        self.gumbel = _GumbelStream(rng)
+        self.c_group = sampler.c_group
+        self.n_aux = sampler.n_aux
+        self.log_alpha_aux = math.log(sampler.alpha / sampler.n_aux)
+        self.a0 = sampler.c0 * sampler.q0
+        self.b0 = sampler.c0 * (1.0 - sampler.q0)
+        n = z.size
+        #: log(count) for counts 0..n; an empty cluster has weight zero.
+        self.log_count = np.concatenate(
+            ([-np.inf], np.fromiter(map(math.log, range(1, n + 1)), float, n))
+        )
+        self.block = _BLOCK_MAX
+        self.rounds = 0
+        self.fallbacks = 0
+
+    def sweep(self) -> None:
+        """Visit every segment once, in a random order."""
+        cl, rng = self.clusters, self.rng
+        n_seg = self.z.size
+        cl.mu_sq = np.sum(cl.mu**2, axis=1)
+        order = rng.permutation(n_seg)
+        # Draw every segment's auxiliary-cluster parameters up front and
+        # score them in one vectorized pass: the failure count s_l is
+        # fixed within a sweep, so each segment's Beta–Binomial term
+        # depends only on its own pre-drawn auxiliary rates.
+        self.aux_q = rng.beta(self.a0, self.b0, (n_seg, self.n_aux))
+        self.aux_mu = rng.normal(0.0, math.sqrt(_TAU2), (n_seg, self.n_aux, cl.mu.shape[1]))
+        a_aux = self.c_group * self.aux_q
+        b_aux = self.c_group - a_aux
+        s_f = self.s_f
+        self.aux_base = (
+            self.log_alpha_aux
+            + betaln(a_aux + s_f[:, None], b_aux + (self.m - s_f)[:, None])
+            - betaln(a_aux, b_aux)
+        )
+        if self.feats is not None:
+            # ‖feats_l‖² is common to every candidate (existing and
+            # auxiliary) and cannot move the draw, so both weight
+            # formulas drop it.
+            aux_cross = np.einsum("ld,lhd->lh", self.feats, self.aux_mu)
+            aux_sq = np.einsum("lhd,lhd->lh", self.aux_mu, self.aux_mu)
+            self.aux_base += (aux_cross - 0.5 * aux_sq) / self.sigma2
+
+        pos = 0
+        while pos < order.size:
+            rows = order[pos : pos + self.block]
+            done = self._block(rows, order.size - pos)
+            pos += done
+            if done < rows.size:
+                self._visit(int(order[pos]))
+                self.fallbacks += 1
+                pos += 1
+                self.block = max(self.block // 2, _BLOCK_MIN)
+            else:
+                self.block = min(self.block * 2, _BLOCK_MAX)
+        self.gumbel.finish()
+
+    def _feature_term(self, rows: np.ndarray) -> np.ndarray:
+        # einsum, not ``@``: a threaded BLAS matmul here can oversubscribe
+        # the CPUs when chains run in pool workers (docs/performance.md §7).
+        cl = self.clusters
+        cross = np.einsum("ld,kd->lk", self.feats[rows], cl.mu)
+        return (cross - 0.5 * cl.mu_sq) / self.sigma2
+
+    def _commit(self, rows: np.ndarray, new: np.ndarray, old: np.ndarray) -> None:
+        """Apply the draws ``new`` of ``rows`` and use up their noise."""
+        cl = self.clusters
+        moved = new != old
+        if moved.any():
+            self.z[rows[moved]] = new[moved]
+            cl.count += np.bincount(new[moved], minlength=cl.k)
+            cl.count -= np.bincount(old[moved], minlength=cl.k)
+        self.gumbel.ptr += rows.size * (cl.k + self.n_aux)
+
+    def _block(self, rows: np.ndarray, left: int) -> int:
+        """Visit ``rows`` in order; return how many were committed.
+
+        Fewer than ``len(rows)`` means the next row is a birth or death,
+        which the caller visits through :meth:`_visit`. ``left`` counts
+        the sweep's unvisited segments, ``rows`` included.
+        """
+        cl = self.clusters
+        n, k = rows.size, cl.k
+        width = k + self.n_aux
+        gumbel = self.gumbel.peek(n * width, left * width).reshape(n, width)
+        # The count-free part of every existing-cluster log-weight.
+        fixed = cl.bbT[self.s[rows]]
+        if self.feats is not None:
+            fixed += self._feature_term(rows)
+        fixed += gumbel[:, :k]
+        aux = self.aux_base[rows] + gumbel[:, k:]
+        aux_arg = aux.argmax(axis=1)
+        aux_max = aux[np.arange(n), aux_arg]
+        old = self.z[rows]
+        guess = old.copy()
+        lo = 0
+        while lo < n:
+            self.rounds += 1
+            o, g = old[lo:], guess[lo:]
+            idx = np.arange(n - lo)
+            # Counts each visit sees if every earlier visit in the block
+            # moved as guessed: running total of the moves before it,
+            # minus the visiting segment itself.
+            counts = np.repeat(cl.count[None, :], n - lo, axis=0)
+            moved = np.flatnonzero(g != o)
+            if moved.size:
+                step = np.zeros_like(counts)
+                step[moved, g[moved]] = 1
+                step[moved, o[moved]] = -1
+                counts += np.cumsum(step, axis=0)
+                counts -= step
+            counts[idx, o] -= 1
+            logw = self.log_count[counts]
+            logw += fixed[lo:]
+            best = logw.argmax(axis=1)
+            # argmax over [existing, auxiliary] takes the first maximum,
+            # so an auxiliary cluster must beat the existing best strictly.
+            draw = np.where(aux_max[lo:] > logw[idx, best], k + aux_arg[lo:], best)
+            death = counts[idx, o] == 0
+            bad = np.flatnonzero((draw != g) | death)
+            if bad.size == 0:
+                self._commit(rows[lo:], g, o)
+                return n
+            f = int(bad[0])
+            if death[f] or draw[f] >= k:
+                self._commit(rows[lo : lo + f], g[:f], o[:f])
+                return lo + f
+            # Row f saw true counts, so its draw is final; later rows
+            # guess their latest draw (or stay put if it was a birth).
+            g[f:] = np.where(draw[f:] < k, draw[f:], o[f:])
+            self._commit(rows[lo : lo + f + 1], g[: f + 1], o[: f + 1])
+            lo += f + 1
+        return n
+
+    def _visit(self, l: int) -> None:
+        """One Algorithm 8 visit, for a segment whose move changes ``K``."""
+        cl, z = self.clusters, self.z
+        k_old = int(z[l])
+        cl.count[k_old] -= 1
+        singleton = None
+        if cl.count[k_old] == 0:
+            singleton = (float(cl.q[k_old]), cl.mu[k_old])
+            cl.remove(k_old)
+            z[z > k_old] -= 1
+        k_live = cl.k
+
+        logw = self.log_count[cl.count] + cl.bbT[self.s[l]]
+        if self.feats is not None:
+            logw += self._feature_term(np.array([l]))[0]
+
+        # Auxiliary clusters from the prior (the deleted singleton's
+        # parameters are recycled as the first auxiliary, per Alg 8).
+        aux_q = self.aux_q[l]
+        aux_mu = self.aux_mu[l]
+        aux_logw = self.aux_base[l]
+        if singleton is not None:
+            aux_q = aux_q.copy()
+            aux_mu = aux_mu.copy()
+            aux_logw = aux_logw.copy()
+            q_s, mu_s = singleton
+            aux_q[0] = q_s
+            aux_mu[0] = mu_s
+            a_s = self.c_group * q_s
+            b_s = self.c_group * (1.0 - q_s)
+            sl = float(self.s[l])
+            w0 = (
+                self.log_alpha_aux
+                + _betaln_scalar(a_s + sl, b_s + (self.m - sl))
+                - _betaln_scalar(a_s, b_s)
+            )
+            if self.feats is not None:
+                w0 += (float(self.feats[l] @ mu_s) - 0.5 * float(mu_s @ mu_s)) / self.sigma2
+            aux_logw[0] = w0
+
+        all_logw = np.concatenate([logw, aux_logw])
+        all_logw += self.gumbel.take(all_logw.size)
+        choice = int(all_logw.argmax())
+        if choice < k_live:
+            z[l] = choice
+            cl.count[choice] += 1
+        else:
+            h = choice - k_live
+            z[l] = cl.add(float(aux_q[h]), aux_mu[h], 1)
 
 
 @dataclass
@@ -295,10 +597,10 @@ class DPMHBP:
             feats = np.zeros((n_seg, 1))
             d = 1
             sigma2 = 1.0
-        tau2 = 1.0  # prior variance of cluster feature means
+        tau2 = _TAU2
 
         rng = np.random.default_rng(self.seed)
-        state = _ClusterState(self.c_group, m, d)
+        clusters = _Clusters(self.c_group, m, d)
 
         # Initialise from the provided seed partition, or a coarse random one.
         # Either way, relabel to contiguous ids so no initial cluster is
@@ -317,9 +619,11 @@ class DPMHBP:
             members = z == k
             mu0 = feats[members].mean(axis=0) if use_features else np.zeros(d)
             q_init = min(max((s[members].mean() / m) + 1e-3, 1e-4), 0.5)
-            state.add(q_init, mu0, int(members.sum()))
+            clusters.add(q_init, mu0, int(members.sum()))
 
-        scales: list[AdaptiveScale] = [AdaptiveScale() for _ in range(state.k)]
+        scan = _CRPScan(
+            self, clusters, z, s, feats if use_features else None, sigma2, m, rng
+        )
         rho_acc = np.zeros(n_seg)
         rho_sq_acc = np.zeros(n_seg)
         kept = 0
@@ -331,149 +635,59 @@ class DPMHBP:
         q_accepts_prev = 0
         q_props_prev = 0
 
-        log_alpha_aux = math.log(self.alpha / self.n_aux)
         a0 = self.c0 * self.q0
         b0 = self.c0 * (1.0 - self.q0)
-        sqrt_tau = math.sqrt(tau2)
-        s_f = s.astype(float)
+        n_bins = int(m) + 1
 
         for sweep in range(self.n_sweeps):
             # ---- Block 1: CRP assignments (Neal Algorithm 8) ----
-            counts, bb, mu, mu_sq = state.matrices()
-            log_counts = np.log(counts)
-            order = rng.permutation(n_seg)
-            # Draw every segment's auxiliary-cluster parameters up front and
-            # score them in one vectorized pass: the failure count s_l is
-            # fixed within a sweep, so each segment's Beta–Binomial term
-            # depends only on its own pre-drawn auxiliary rates.
-            aux_q_all = rng.beta(a0, b0, (n_seg, self.n_aux))
-            aux_mu_all = rng.normal(0.0, sqrt_tau, (n_seg, self.n_aux, d))
-            a_aux = self.c_group * aux_q_all
-            b_aux = self.c_group - a_aux
-            aux_base = (
-                log_alpha_aux
-                + betaln(a_aux + s_f[:, None], b_aux + (m - s_f)[:, None])
-                - betaln(a_aux, b_aux)
-            )
-            if use_features:
-                # ‖feats_l‖² is common to every candidate (existing and
-                # auxiliary) and cannot move the draw, so both weight
-                # formulas drop it.
-                aux_cross = np.einsum("ld,lhd->lh", feats, aux_mu_all)
-                aux_sq = np.einsum("lhd,lhd->lh", aux_mu_all, aux_mu_all)
-                aux_base += (aux_cross - 0.5 * aux_sq) / sigma2
-
-            for l in order:
-                k_old = int(z[l])
-                counts[k_old] -= 1.0
-                singleton_params = None
-                if counts[k_old] == 0.0:
-                    singleton_params = (state.q[k_old], state.mu[k_old])
-                    # Delete the empty cluster; relabel in the live arrays.
-                    state.remove(k_old)
-                    scales.pop(k_old)
-                    counts = np.delete(counts, k_old)
-                    log_counts = np.delete(log_counts, k_old)
-                    bb = np.delete(bb, k_old, axis=0)
-                    mu = np.delete(mu, k_old, axis=0)
-                    mu_sq = np.delete(mu_sq, k_old)
-                    z[z > k_old] -= 1
-                else:
-                    log_counts[k_old] = math.log(counts[k_old])
-                k_live = state.k
-
-                # Existing-cluster log weights.
-                logw = log_counts + bb[:, s[l]]
-                if use_features:
-                    logw += (mu @ feats[l] - 0.5 * mu_sq) / sigma2
-
-                # Auxiliary clusters from the prior (the deleted singleton's
-                # parameters are recycled as the first auxiliary, per Alg 8).
-                aux_q = aux_q_all[l]
-                aux_mu = aux_mu_all[l]
-                aux_logw = aux_base[l]
-                if singleton_params is not None:
-                    aux_q = aux_q.copy()
-                    aux_mu = aux_mu.copy()
-                    aux_logw = aux_logw.copy()
-                    q_s, mu_s = singleton_params
-                    aux_q[0] = q_s
-                    aux_mu[0] = mu_s
-                    a_s = self.c_group * q_s
-                    b_s = self.c_group * (1.0 - q_s)
-                    sl = float(s[l])
-                    w0 = (
-                        log_alpha_aux
-                        + _betaln_scalar(a_s + sl, b_s + (m - sl))
-                        - _betaln_scalar(a_s, b_s)
-                    )
-                    if use_features:
-                        w0 += (float(feats[l] @ mu_s) - 0.5 * float(mu_s @ mu_s)) / sigma2
-                    aux_logw[0] = w0
-
-                # Gumbel-max categorical draw on the unnormalised log-weights.
-                all_logw = np.concatenate([logw, aux_logw])
-                all_logw += rng.gumbel(size=all_logw.size)
-                choice = int(all_logw.argmax())
-
-                if choice < k_live:
-                    z[l] = choice
-                    counts[choice] += 1.0
-                    log_counts[choice] = math.log(counts[choice])
-                else:
-                    h = choice - k_live
-                    new_k = state.add(float(aux_q[h]), aux_mu[h], 1)
-                    scales.append(AdaptiveScale())
-                    z[l] = new_k
-                    counts = np.append(counts, 1.0)
-                    log_counts = np.append(log_counts, 0.0)
-                    bb = np.vstack([bb, state.bb_table[new_k]])
-                    mu = np.vstack([mu, aux_mu[h]])
-                    mu_sq = np.append(mu_sq, float(aux_mu[h] @ aux_mu[h]))
-            # The live ``counts`` array was authoritative during the scan;
-            # write it back to the cluster state once per sweep.
-            state.count = [int(c) for c in counts]
+            scan.sweep()
 
             # ---- Block 2: q_k via logit Metropolis (collapsed ρ) ----
             # Failure counts live on the small grid 0..m, so a cluster's
             # collapsed likelihood is its count-histogram dotted with the
             # (m+1)-long Beta–Binomial table — O(m) per target evaluation
             # regardless of cluster size.
-            hist = np.zeros((state.k, int(m) + 1))
-            np.add.at(hist, (z, s), 1.0)
-            for k in range(state.k):
+            k_tot = clusters.k
+            hist = (
+                np.bincount(z * n_bins + s, minlength=k_tot * n_bins)
+                .reshape(k_tot, n_bins)
+                .astype(float)
+            )
+            for k in range(k_tot):
 
                 def log_target(qk: float, hk=hist[k]) -> float:
-                    prior = float(beta_logpdf(qk, self.c0 * self.q0, self.c0 * (1.0 - self.q0)))
-                    return prior + float(hk @ state.bb_column(qk))
+                    prior = float(beta_logpdf(qk, a0, b0))
+                    return prior + float(hk @ clusters.bb_column(qk))
 
+                scale = clusters.scales[k]
                 new_q, accepted = metropolis_probability_step(
-                    state.q[k], log_target, scales[k].scale, rng
+                    float(clusters.q[k]), log_target, scale.scale, rng
                 )
-                scales[k].update(accepted)
+                scale.update(accepted)
                 q_props += 1
                 q_accepts += int(accepted)
                 if accepted:
-                    state.q[k] = new_q
-                    state.bb_table[k] = state.bb_column(new_q)
+                    clusters.q[k] = new_q
+                    clusters.bbT[:, k] = clusters.bb_column(new_q)
 
             # ---- Block 3: cluster feature means (conjugate Gaussian) ----
             if use_features:
-                k_tot = state.k
-                seg_sums = np.zeros((k_tot, d))
-                np.add.at(seg_sums, z, feats)
+                seg_sums = np.stack(
+                    [np.bincount(z, weights=col, minlength=k_tot) for col in feats.T],
+                    axis=1,
+                )
                 n_k = np.bincount(z, minlength=k_tot).astype(float)
                 post_var = 1.0 / (1.0 / tau2 + n_k / sigma2)
                 post_mean = post_var[:, None] * seg_sums / sigma2
-                draws = post_mean + np.sqrt(post_var)[:, None] * rng.standard_normal(
+                clusters.mu = post_mean + np.sqrt(post_var)[:, None] * rng.standard_normal(
                     (k_tot, d)
                 )
-                state.mu = [draws[k] for k in range(k_tot)]
 
-            n_clusters_trace.append(state.k)
+            n_clusters_trace.append(k_tot)
             # Collapsed log-likelihood of the sweep's state: each segment's
             # Beta–Binomial term is one lookup in its cluster's table.
-            log_lik = float(np.asarray(state.bb_table)[z, s].sum())
+            log_lik = float(clusters.bbT[s, z].sum())
             log_lik_trace.append(log_lik)
             sweep_accept = (q_accepts - q_accepts_prev) / max(
                 q_props - q_props_prev, 1
@@ -485,7 +699,7 @@ class DPMHBP:
                 self.sweep_callback(
                     sweep,
                     {
-                        "n_clusters": float(state.k),
+                        "n_clusters": float(k_tot),
                         "log_lik": log_lik,
                         "accept_q": sweep_accept,
                     },
@@ -493,12 +707,14 @@ class DPMHBP:
 
             # ---- Accumulate posterior mean ρ (collapsed conditional mean) ----
             if sweep >= self.burn_in:
-                q_z = np.asarray(state.q)[z]
+                q_z = clusters.q[z]
                 rho_sweep = (self.c_group * q_z + s) / (self.c_group + m)
                 rho_acc += rho_sweep
                 rho_sq_acc += rho_sweep**2
                 kept += 1
 
+        telemetry.count("dpmhbp.scan.rounds", scan.rounds)
+        telemetry.count("dpmhbp.scan.fallbacks", scan.fallbacks)
         rho_mean = rho_acc / kept
         rho_var = np.maximum(rho_sq_acc / kept - rho_mean**2, 0.0)
         return DPMHBPPosterior(
@@ -506,7 +722,7 @@ class DPMHBP:
             rho_std=np.sqrt(rho_var),
             n_clusters_trace=np.asarray(n_clusters_trace),
             last_assignments=z.copy(),
-            last_q=np.asarray(state.q),
+            last_q=clusters.q.copy(),
             accept_rate_q=q_accepts / max(q_props, 1),
             log_lik_trace=np.asarray(log_lik_trace),
             accept_trace=np.asarray(accept_trace),

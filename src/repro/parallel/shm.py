@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import multiprocessing
 import os
 import threading
 from collections import OrderedDict
@@ -132,14 +133,37 @@ def _close_quietly(shm_obj: shared_memory.SharedMemory) -> None:
         pass
 
 
+def _tracker_running() -> bool:
+    from multiprocessing import resource_tracker
+
+    return getattr(resource_tracker._resource_tracker, "_fd", None) is not None  # noqa: SLF001
+
+
+def _after_fork_in_child() -> None:
+    global _shared_tracker
+    _shared_tracker = _tracker_running()
+
+
+#: Whether this process reports to its parent's resource tracker: a child
+#: forked while the parent's tracker ran, or any spawned child (spawn hands
+#: the tracker down).
+_shared_tracker = multiprocessing.parent_process() is not None and _tracker_running()
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 def _untrack(shm_obj: shared_memory.SharedMemory) -> None:
     """Detach an *attached* segment from this process's resource tracker.
 
     On CPython < 3.13 every attaching process registers the segment with
     ``resource_tracker``, which then warns about (and may unlink) it at
     worker exit even though the publisher still owns it. Ownership is
-    publisher-only here, so attachers must unregister.
+    publisher-only here, so attachers must unregister — unless they share
+    the publisher's tracker, where the attach only re-registered the
+    publisher's own entry. Unregistering that would make the publisher's
+    unlink raise ``KeyError`` inside the tracker.
     """
+    if _shared_tracker:
+        return
     try:  # pragma: no cover — depends on interpreter internals
         from multiprocessing import resource_tracker
 

@@ -6,8 +6,10 @@ Subcommands
 ``compare``  re-time them and fail (exit 1) on >25% median regressions
              against a baseline snapshot (latest ``BENCH_*.json`` by default)
 ``smoke``    fast tier-1 sanity check: one DPMHBP sweep and one exact-AUC
-             call must finish under a generous ceiling — catches
-             catastrophic slowdowns without pytest-benchmark
+             call must finish under a generous ceiling (catches
+             catastrophic slowdowns without pytest-benchmark), and a
+             2-chain DPMHBP fit under the configured executor must
+             match the serial fit bit for bit
 
 Wired to ``make bench-save``, ``make bench-compare`` and ``make perfcheck``.
 """
@@ -71,8 +73,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_smoke(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from ..core.dpmhbp import DPMHBP
+    from ..core.dpmhbp import DPMHBP, DPMHBPModel
     from ..core.ranking.objective import empirical_auc
+    from ..data import load_region
+    from ..features import build_model_data
     from ..parallel import parallel_map, resolve_executor
     from ..parallel import shm
     from .benchmarks import _scaling_worker, make_health_noop, make_telemetry_noop
@@ -100,6 +104,18 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         if shm.active_segments():
             raise AssertionError("released bundle left shared-memory segments")
 
+    chain_data = build_model_data(load_region("A", scale=0.03, seed=9))
+
+    def _chains_fanout_check() -> None:
+        def pooled_rho(jobs: int | None, executor: str | None) -> np.ndarray:
+            model = DPMHBPModel(
+                n_sweeps=6, burn_in=2, n_chains=2, jobs=jobs, executor=executor, monitor=False
+            )
+            return model.fit(chain_data).posterior_.rho_mean
+
+        if not np.array_equal(pooled_rho(None, None), pooled_rho(1, "serial")):
+            raise AssertionError("2-chain DPMHBP fit differs from the serial fit")
+
     checks = {
         "dpmhbp_one_sweep": lambda: DPMHBP(n_sweeps=1, burn_in=0, seed=0).fit(
             failures, features
@@ -117,6 +133,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         # pool with a published bundle — exercises the shm data plane and
         # pool-reuse paths end to end, then asserts nothing leaked.
         "parallel_fanout": _fanout_check,
+        # The same executor fanning out real DPMHBP chains: the pooled
+        # posterior must not depend on where the chains ran.
+        "dpmhbp_chains_fanout": _chains_fanout_check,
     }
     failed = False
     for name, fn in checks.items():

@@ -10,6 +10,9 @@ the tests that keep long CI runs from filling the shm tmpfs.
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -232,6 +235,44 @@ class TestFanOutLifetime:
         assert len(results) == 3
         assert active_segments() == []
         assert _dev_shm_entries() == []
+
+
+#: The pool forks after this process's resource tracker started (the first
+#: publish starts it), and the second bundle is published after the pool
+#: exists, so its workers attach that segment by name.
+_ATTACH_AFTER_POOL = textwrap.dedent(
+    """
+    import numpy as np
+    from repro.parallel import ExecutorConfig, parallel_map, publish_bundle, release
+    from repro.perf.benchmarks import _scaling_worker
+
+    config = ExecutorConfig(mode="processes", jobs=2)
+    for _ in range(2):
+        handle = publish_bundle({"x": np.ones((4, 8))}, config=config)
+        try:
+            tasks = [(handle, i) for i in range(4)]
+            parallel_map(_scaling_worker, tasks, config, chunksize=1)
+        finally:
+            release(handle)
+    """
+)
+
+
+class TestResourceTracker:
+    def test_worker_attach_keeps_publisher_registration(self):
+        """Pool workers share the publisher's resource tracker; an attach
+        must not unregister the publisher's entry, or the publisher's
+        unlink makes the tracker print a ``KeyError`` traceback."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", _ATTACH_AFTER_POOL],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr, result.stderr
 
 
 class TestChainFanOut:
