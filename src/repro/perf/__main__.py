@@ -5,11 +5,11 @@ Subcommands
 ``save``     time the five sampler benchmarks, write ``BENCH_<rev>.json``
 ``compare``  re-time them and fail (exit 1) on >25% median regressions
              against a baseline snapshot (latest ``BENCH_*.json`` by default)
-``smoke``    fast tier-1 sanity check: one DPMHBP sweep and one exact-AUC
-             call must finish under a generous ceiling (catches
-             catastrophic slowdowns without pytest-benchmark), and a
-             2-chain DPMHBP fit under the configured executor must
-             match the serial fit bit for bit
+``smoke``    fast tier-1 sanity check: one DPMHBP sweep, one exact-AUC
+             call and one RankSVM fit must finish under a generous
+             ceiling (catches catastrophic slowdowns without
+             pytest-benchmark), and a 2-chain DPMHBP fit under the
+             configured executor must match the serial fit bit for bit
 
 Wired to ``make bench-save``, ``make bench-compare`` and ``make perfcheck``.
 """
@@ -74,7 +74,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     import numpy as np
 
     from ..core.dpmhbp import DPMHBP, DPMHBPModel
+    from ..core.ranking.model import build_snapshots
     from ..core.ranking.objective import empirical_auc
+    from ..core.ranking.ranksvm import RankSVM
     from ..data import load_region
     from ..features import build_model_data
     from ..parallel import parallel_map, resolve_executor
@@ -105,6 +107,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             raise AssertionError("released bundle left shared-memory segments")
 
     chain_data = build_model_data(load_region("A", scale=0.03, seed=9))
+    snap_X, snap_y = build_snapshots(chain_data)
 
     def _chains_fanout_check() -> None:
         def pooled_rho(jobs: int | None, executor: str | None) -> np.ndarray:
@@ -121,6 +124,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             failures, features
         ),
         "empirical_auc_100k": lambda: empirical_auc(scores, labels),
+        # The SVM model's 150k-step Pegasos fit through the block scan.
+        "ranksvm_fit": lambda: RankSVM().fit(snap_X, snap_y),
         # Disabled-telemetry overhead: 200k no-op span+counter calls must be
         # effectively free, or the permanent hot-path instrumentation is
         # taxing every sweep (see telemetry.recorder).

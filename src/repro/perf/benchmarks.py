@@ -79,6 +79,21 @@ def make_es_generation() -> Callable[[], Any]:
     return run
 
 
+def make_ranksvm_fit() -> Callable[[], Any]:
+    """One ``SVMRankingModel``-shaped RankSVM fit (150k Pegasos steps).
+
+    On the temporal snapshots of region A at scale 0.05 — the fit the
+    "SVM" model of every grid cell runs, and the block scan's workload.
+    """
+    from ..core.ranking.model import build_snapshots
+    from ..core.ranking.ranksvm import RankSVM
+    from ..data import load_region
+    from ..features import build_model_data
+
+    X, y = build_snapshots(build_model_data(load_region("A", scale=0.05, seed=0)))
+    return lambda: RankSVM().fit(X, y)
+
+
 def make_run_journal() -> Callable[[], Any]:
     """Checkpoint round-trip: save + validate + load 6 cells of 20k-pipe scores.
 
@@ -280,6 +295,7 @@ BENCHMARKS: dict[str, Benchmark] = {
     "crp_partition": make_crp_partition,
     "empirical_auc": make_empirical_auc,
     "es_generation": make_es_generation,
+    "ranksvm_fit": make_ranksvm_fit,
     "run_journal": make_run_journal,
     "parallel_scaling": make_parallel_scaling,
     "parallel_scaling_percall": make_parallel_scaling_percall,

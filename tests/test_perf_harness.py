@@ -38,6 +38,7 @@ class TestTiming:
             "crp_partition",
             "empirical_auc",
             "es_generation",
+            "ranksvm_fit",
             "run_journal",
             "parallel_scaling",
             "parallel_scaling_percall",
