@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 
 from ..features.builder import ModelData
+from ..parallel.blas import single_blas_thread
 
 
 class FailureModel(abc.ABC):
@@ -33,8 +34,14 @@ class FailureModel(abc.ABC):
         """Risk score per pipe (aligned with ``data.pipe_ids``) for the test year."""
 
     def fit_predict(self, data: ModelData) -> np.ndarray:
-        """Convenience: ``fit(data).predict_pipe_risk(data)``."""
-        return self.fit(data).predict_pipe_risk(data)
+        """``fit(data).predict_pipe_risk(data)`` on one BLAS thread.
+
+        Pinning BLAS makes the scores independent of the host's core count
+        and stops pool workers oversubscribing the CPUs
+        (:func:`~repro.parallel.blas.single_blas_thread`).
+        """
+        with single_blas_thread():
+            return self.fit(data).predict_pipe_risk(data)
 
     def get_params(self) -> dict:
         """Configuration parameters that define this model, as plain data.

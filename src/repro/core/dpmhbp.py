@@ -52,9 +52,9 @@ chunk's used part. The ``q_k`` block therefore starts from the generator
 state a one-visit-at-a-time scan leaves.
 
 The weights are the same sums as the one-visit formula, added in a
-different order and with the feature dot products taken by ``einsum``,
-so they can differ in the last bit. A draw could only change if two
-noisy log-weights tied to within a few ulps. ``tests/test_dpmhbp.py``
+different order and with the feature dot products taken by one matrix
+product per block, so they can differ in the last bit. A draw could
+only change if two noisy log-weights tied to within a few ulps. ``tests/test_dpmhbp.py``
 pins posteriors recorded with a plain one-visit-at-a-time scan.
 
 Around the scan: auxiliary-cluster weights for every segment come from
@@ -85,6 +85,7 @@ from ..inference.metropolis import AdaptiveScale, metropolis_probability_step
 from ..ml.glm import PoissonRegression
 from ..monitor.health import ChainHealth, HealthReport
 from ..parallel import shm
+from ..parallel.blas import single_blas_thread
 from ..parallel.executor import parallel_map, resolve_executor
 from .base import FailureModel
 
@@ -386,10 +387,8 @@ class _CRPScan:
         self.gumbel.finish()
 
     def _feature_term(self, rows: np.ndarray) -> np.ndarray:
-        # einsum, not ``@``: a threaded BLAS matmul here can oversubscribe
-        # the CPUs when chains run in pool workers (docs/performance.md §7).
         cl = self.clusters
-        cross = np.einsum("ld,kd->lk", self.feats[rows], cl.mu)
+        cross = self.feats[rows] @ cl.mu.T
         return (cross - 0.5 * cl.mu_sq) / self.sigma2
 
     def _commit(self, rows: np.ndarray, new: np.ndarray, old: np.ndarray) -> None:
@@ -562,7 +561,9 @@ class DPMHBP:
         good seed shortens burn-in dramatically — the stationary
         distribution is unchanged.
         """
-        with telemetry.span(
+        # Pinned here as well as in ``fit_predict``: chains run in pool
+        # workers, outside any model's fit.
+        with single_blas_thread(), telemetry.span(
             "dpmhbp.fit", n_sweeps=self.n_sweeps, seed=self.seed
         ):
             posterior = self._fit(failures, features, init_labels)
@@ -753,20 +754,16 @@ def _fit_dpmhbp_chain(task: tuple) -> DPMHBPPosterior:
     arrays travel once through the :mod:`repro.parallel.shm` data plane
     and every chain resolves read-only zero-copy views, instead of each
     task pickling its own copy of the same (failures, features, init)
-    bundle. The legacy 5-tuple with inline arrays is still accepted (old
-    pickled call sites).
+    bundle.
 
     With a checkpoint path, the chain restores a valid prior checkpoint
     instead of re-sampling (bit-identical — the checkpoint *is* the chain's
     result), and saves its posterior atomically after a fresh fit; corrupt
     checkpoints are discarded and refit.
     """
-    if len(task) == 3:
-        sampler, handle, ckpt_path = task
-        arrays = shm.resolve_bundle(handle)
-        failures, features, init = arrays["failures"], arrays["features"], arrays["init"]
-    else:
-        sampler, failures, features, init, ckpt_path = task
+    sampler, handle, ckpt_path = task
+    arrays = shm.resolve_bundle(handle)
+    failures, features, init = arrays["failures"], arrays["features"], arrays["init"]
     if ckpt_path is not None and Path(ckpt_path).exists():
         try:
             restored = DPMHBPPosterior.load(ckpt_path)

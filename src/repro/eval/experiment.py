@@ -207,18 +207,14 @@ class ComparisonResult:
         return paired_t_test(samples(region, model_a), samples(region, model_b))
 
 
-def _comparison_cell(task: CellSpec | tuple) -> RegionRun:
+def _comparison_cell(spec: CellSpec) -> RegionRun:
     """Evaluate one independent (region, repeat) cell.
 
     Module-level (not a closure) so process pools can pickle it. The cell
     carries everything it needs; each worker regenerates / fetches its
     region from the cache and fits a fresh model line-up, so cells are
     independent and their results depend only on the seeds they carry.
-
-    Accepts a :class:`CellSpec` (the canonical form) or the legacy
-    positional 8-tuple, which old pickled call sites may still ship.
     """
-    spec = CellSpec.from_task(task)
     data = prepare_region_data(
         spec.region, seed=spec.seed, scale=spec.scale, feature_config=spec.feature_config
     )

@@ -13,8 +13,10 @@ maps instead of respawned per call) and a zero-copy shared-memory data
 plane (:mod:`repro.parallel.shm` — frozen array bundles published once,
 workers reconstruct read-only views instead of unpickling copies).
 
-Every unit of work derives its own RNG seed, so results are bit-identical
-across backends — parallelism changes wall-clock, never numbers.
+Every unit of work derives its own RNG seed, and every model fit runs on
+one BLAS thread (:mod:`repro.parallel.blas`), so results are bit-identical
+across backends and on any host core count (OpenBLAS builds) —
+parallelism changes wall-clock, never numbers.
 """
 
 from .cache import (

@@ -7,6 +7,10 @@ medians to ``BENCH_<rev>.json``; ``make bench-compare`` re-times the same
 workloads and fails when any median regresses more than 25% against the
 committed snapshot. ``make perfcheck`` is the cheap tier-1 smoke variant.
 
+Every snapshot records the host it ran on (:func:`host_fingerprint`), and
+``compare`` warns when the baseline's host differs or is not recorded:
+timings from another host are not comparable.
+
 No pytest-benchmark dependency: timing is a plain ``perf_counter`` median
 over a few rounds, which is exactly what the regression gate needs.
 """
@@ -14,12 +18,15 @@ over a few rounds, which is exactly what the regression gate needs.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from ..parallel.blas import openblas_libraries
 from .benchmarks import BENCHMARKS
 
 __all__ = [
@@ -30,6 +37,7 @@ __all__ = [
     "time_callable",
     "run_benchmarks",
     "current_rev",
+    "host_fingerprint",
     "snapshot_path",
     "save_snapshot",
     "load_snapshot",
@@ -117,6 +125,36 @@ def current_rev() -> str:
         return "worktree"
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def host_fingerprint() -> dict:
+    """What a timing depends on besides the code: CPU, cores, runtimes, BLAS."""
+    import numpy
+    import scipy
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "cpu": _cpu_model(),
+        "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "openblas": [
+            {"host": lib.host, "config": lib.config, "threads": lib.get_num_threads()}
+            for lib in openblas_libraries()
+        ],
+    }
+
+
 def snapshot_path(directory: Path | str = ".", rev: str | None = None) -> Path:
     """``BENCH_<rev>.json`` inside ``directory``."""
     return Path(directory) / f"BENCH_{rev or current_rev()}.json"
@@ -134,6 +172,7 @@ def save_snapshot(
     payload = {
         "rev": rev,
         "rounds": rounds,
+        "host": host_fingerprint(),
         "medians_s": {name: t.median_s for name, t in results.items()},
         "times_s": {name: list(t.times_s) for name, t in results.items()},
     }

@@ -17,6 +17,7 @@ Wired to ``make bench-save``, ``make bench-compare`` and ``make perfcheck``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -24,6 +25,7 @@ from pathlib import Path
 from . import (
     DEFAULT_THRESHOLD,
     compare_to_baseline,
+    host_fingerprint,
     latest_snapshot,
     load_snapshot,
     run_benchmarks,
@@ -48,6 +50,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     baseline = load_snapshot(baseline_path)
     current = run_benchmarks(names=list(baseline["medians_s"]), rounds=args.rounds)
     print(f"baseline: {baseline_path} (rev {baseline.get('rev', '?')})")
+    recorded, host = baseline.get("host"), host_fingerprint()
+    if recorded != host:
+        print(
+            f"WARNING: the baseline was timed on {'another' if recorded else 'an unrecorded'}"
+            " host; its timings are not comparable with this one's\n"
+            f"  baseline host: {json.dumps(recorded, sort_keys=True)}\n"
+            f"  this host:     {json.dumps(host, sort_keys=True)}",
+            file=sys.stderr,
+        )
     for name, baseline_s in sorted(baseline["medians_s"].items()):
         timing = current.get(name)
         if timing is None:

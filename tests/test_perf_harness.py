@@ -8,6 +8,7 @@ from repro.perf import (
     BENCHMARKS,
     BenchmarkTiming,
     compare_to_baseline,
+    host_fingerprint,
     latest_snapshot,
     load_snapshot,
     run_benchmarks,
@@ -65,6 +66,8 @@ class TestSnapshots:
         payload = load_snapshot(path)
         assert payload["rev"] == "t1"
         assert "empirical_auc" in payload["medians_s"]
+        assert payload["host"] == host_fingerprint()
+        assert {"cpu", "nproc", "python", "numpy", "scipy", "openblas"} <= set(payload["host"])
 
     def test_latest_snapshot(self, tmp_path):
         assert latest_snapshot(tmp_path) is None
@@ -115,6 +118,26 @@ class TestCli:
             json.dumps({"rev": "x", "medians_s": {"empirical_auc": 1e9}})
         )
         assert perf_main(["compare", str(baseline), "--rounds", "1"]) == 0
+
+    @pytest.mark.parametrize("host", [None, {"cpu": "elsewhere"}])
+    def test_compare_warns_across_hosts(self, tmp_path, capsys, host):
+        baseline = tmp_path / "BENCH_x.json"
+        payload = {"rev": "x", "medians_s": {"empirical_auc": 1e9}}
+        if host is not None:
+            payload["host"] = host
+        baseline.write_text(json.dumps(payload))
+        assert perf_main(["compare", str(baseline), "--rounds", "1"]) == 0
+        assert "WARNING" in capsys.readouterr().err
+
+    def test_compare_quiet_on_same_host(self, tmp_path, capsys):
+        baseline = tmp_path / "BENCH_x.json"
+        baseline.write_text(
+            json.dumps(
+                {"rev": "x", "host": host_fingerprint(), "medians_s": {"empirical_auc": 1e9}}
+            )
+        )
+        assert perf_main(["compare", str(baseline), "--rounds", "1"]) == 0
+        assert "WARNING" not in capsys.readouterr().err
 
     def test_compare_without_baseline(self, tmp_path):
         assert perf_main(["compare", "--dir", str(tmp_path)]) == 2
