@@ -33,8 +33,8 @@ bench-compare:
 perfcheck:
 	PYTHONPATH=src python -m repro.perf smoke
 
-# Same smoke under the multi-process backend: exercises the persistent
-# worker pool and the shared-memory data plane end to end.
+# Same smoke under the processes backend: the fan-out and 2-chain checks
+# run in worker processes.
 perfcheck-procs:
 	REPRO_EXECUTOR=processes REPRO_JOBS=2 PYTHONPATH=src python -m repro.perf smoke
 

@@ -84,7 +84,6 @@ from ..features.builder import ModelData
 from ..inference.metropolis import AdaptiveScale, metropolis_probability_step
 from ..ml.glm import PoissonRegression
 from ..monitor.health import ChainHealth, HealthReport
-from ..parallel import shm
 from ..parallel.blas import single_blas_thread
 from ..parallel.executor import parallel_map, resolve_executor
 from .base import FailureModel
@@ -108,10 +107,10 @@ class DPMHBPPosterior:
     last_assignments: np.ndarray  # (n_segments,)
     last_q: np.ndarray  # (K,) group rates at the final sweep
     accept_rate_q: float
-    #: Per-sweep collapsed Beta–Binomial log-likelihood; empty when the
-    #: posterior was restored from a pre-monitoring checkpoint.
+    #: Per-sweep collapsed Beta–Binomial log-likelihood; empty on the
+    #: chain-pooled posterior of :class:`DPMHBPModel`.
     log_lik_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    #: Per-sweep q-block acceptance rate; empty on old checkpoints.
+    #: Per-sweep q-block acceptance rate; empty on the pooled posterior.
     accept_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def credible_interval(self, z: float = 1.64) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +163,8 @@ class DPMHBPPosterior:
         """Restore a posterior checkpoint written by :meth:`save`.
 
         Raises ``ValueError`` on a truncated/corrupt or wrong-format file,
-        so callers can fall back to refitting the chain.
+        including one without the per-sweep traces, so callers can fall
+        back to refitting the chain.
         """
         try:
             with np.load(Path(path)) as arrays:
@@ -175,19 +175,8 @@ class DPMHBPPosterior:
                     last_assignments=arrays["last_assignments"],
                     last_q=arrays["last_q"],
                     accept_rate_q=float(arrays["accept_rate_q"]),
-                    # Pre-monitoring checkpoints lack the sweep traces;
-                    # empty arrays keep them loadable (the health monitor
-                    # simply has fewer quantities to judge).
-                    log_lik_trace=(
-                        arrays["log_lik_trace"]
-                        if "log_lik_trace" in arrays.files
-                        else np.zeros(0)
-                    ),
-                    accept_trace=(
-                        arrays["accept_trace"]
-                        if "accept_trace" in arrays.files
-                        else np.zeros(0)
-                    ),
+                    log_lik_trace=arrays["log_lik_trace"],
+                    accept_trace=arrays["accept_trace"],
                 )
         except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise ValueError(f"corrupt DPMHBP chain checkpoint {path}: {exc}") from exc
@@ -750,20 +739,16 @@ def _write_json_atomic(path: Path, payload: dict) -> Path:
 def _fit_dpmhbp_chain(task: tuple) -> DPMHBPPosterior:
     """Run one chain of the sampler (module-level so processes can pickle it).
 
-    The canonical task is ``(sampler, handle, ckpt_path)`` — the training
-    arrays travel once through the :mod:`repro.parallel.shm` data plane
-    and every chain resolves read-only zero-copy views, instead of each
-    task pickling its own copy of the same (failures, features, init)
-    bundle.
+    The task is ``(sampler, failures, features, init, ckpt_path)``; on the
+    processes backend each chain receives its own pickled copy of the
+    training arrays.
 
     With a checkpoint path, the chain restores a valid prior checkpoint
     instead of re-sampling (bit-identical — the checkpoint *is* the chain's
     result), and saves its posterior atomically after a fresh fit; corrupt
     checkpoints are discarded and refit.
     """
-    sampler, handle, ckpt_path = task
-    arrays = shm.resolve_bundle(handle)
-    failures, features, init = arrays["failures"], arrays["features"], arrays["init"]
+    sampler, failures, features, init, ckpt_path = task
     if ckpt_path is not None and Path(ckpt_path).exists():
         try:
             restored = DPMHBPPosterior.load(ckpt_path)
@@ -832,15 +817,6 @@ class DPMHBPModel(FailureModel):
             np.char.add(materials.astype(str), decades.astype(str)), return_inverse=True
         )
         features = data.clustering_features()
-        exec_config = resolve_executor(self.jobs, self.executor)
-        # One shared bundle for every chain: under a multi-worker process
-        # config the arrays are published to shared memory once and each
-        # task pickles only the small handle; serially (or with threads)
-        # the handle degrades to direct references — no copies either way.
-        bundle = shm.publish_bundle(
-            {"failures": data.seg_fail_train, "features": features, "init": init},
-            config=exec_config if self.n_chains > 1 else None,
-        )
         tasks = [
             (
                 DPMHBP(
@@ -853,7 +829,9 @@ class DPMHBPModel(FailureModel):
                     burn_in=self.burn_in,
                     seed=self.seed + 101 * chain,
                 ),
-                bundle,
+                data.seg_fail_train,
+                features,
+                init,
                 (
                     str(Path(self.checkpoint_dir) / f"chain_{chain}.npz")
                     if self.checkpoint_dir is not None
@@ -862,17 +840,9 @@ class DPMHBPModel(FailureModel):
             )
             for chain in range(self.n_chains)
         ]
-        try:
-            # chunksize=1: chains are few and heavy — a chain must never
-            # queue behind a batch-mate on a busy worker.
-            self.chain_posteriors_ = parallel_map(
-                _fit_dpmhbp_chain, tasks, exec_config, chunksize=1
-            )
-        finally:
-            # Workers that attached keep their mappings alive (POSIX unlink
-            # semantics), so releasing immediately after the map is safe —
-            # and guarantees a raising chain can't leak the segment.
-            shm.release(bundle)
+        self.chain_posteriors_ = parallel_map(
+            _fit_dpmhbp_chain, tasks, resolve_executor(self.jobs, self.executor)
+        )
         # Pool the chains: the posterior mean averages, the variance adds
         # the within-chain and between-chain components.
         rho_means = np.stack([p.rho_mean for p in self.chain_posteriors_])
@@ -906,19 +876,17 @@ class DPMHBPModel(FailureModel):
         Chains run in (possibly process-pool) workers, so the monitor
         cannot observe them live — their recorded traces are bulk-ingested
         here instead. Post-burn-in sweeps only, matching what the pooled
-        posterior itself retains. Old checkpoints without sweep traces
-        contribute ``n_clusters`` only.
+        posterior itself retains.
         """
         health = ChainHealth(burn_in=self.burn_in)
         for posterior in self.chain_posteriors_:
-            series: dict[str, np.ndarray] = {
-                "n_clusters": np.asarray(posterior.n_clusters_trace, dtype=float)
-            }
-            if posterior.log_lik_trace.size:
-                series["log_lik"] = posterior.log_lik_trace
-            if posterior.accept_trace.size:
-                series["accept_q"] = posterior.accept_trace
-            health.ingest_chain(series)
+            health.ingest_chain(
+                {
+                    "n_clusters": np.asarray(posterior.n_clusters_trace, dtype=float),
+                    "log_lik": posterior.log_lik_trace,
+                    "accept_q": posterior.accept_trace,
+                }
+            )
         report = health.report()
         if self.checkpoint_dir is not None:
             _write_json_atomic(

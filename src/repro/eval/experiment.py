@@ -373,13 +373,11 @@ def run_comparison(
     with telemetry.span(
         "grid", cells=len(specs), pending=len(pending), restored=len(restored)
     ):
-        # chunksize=1: cells are few and expensive (six model fits each) —
-        # batching them would let one slow cell block its batch-mates. The
-        # processes backend reuses a persistent pool across grids, with the
-        # parent's built regions published zero-copy to the workers (see
-        # repro.parallel.pool / repro.parallel.shm).
+        # Cells are few and expensive (six model fits each); the pool hands
+        # them out one at a time, and each worker builds its cell's region
+        # itself, so no region arrays are pickled.
         envelopes = safe_parallel_map(
-            execute_cell, tasks, resolve_executor(jobs, executor), chunksize=1
+            execute_cell, tasks, resolve_executor(jobs, executor)
         )
     # Envelope errors are infrastructure failures (unpicklable factory, dead
     # journal directory, …) — never cell failures, which execute_cell already

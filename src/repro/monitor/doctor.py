@@ -117,12 +117,13 @@ def _health_from_chain_group(
     trace_len = min(p.n_clusters_trace.size for p in posteriors)
     monitor = ChainHealth(thresholds=thresholds, burn_in=trace_len // 3)
     for posterior in posteriors:
-        series = {"n_clusters": np.asarray(posterior.n_clusters_trace, dtype=float)}
-        if posterior.log_lik_trace.size:
-            series["log_lik"] = posterior.log_lik_trace
-        if posterior.accept_trace.size:
-            series["accept_q"] = posterior.accept_trace
-        monitor.ingest_chain(series)
+        monitor.ingest_chain(
+            {
+                "n_clusters": np.asarray(posterior.n_clusters_trace, dtype=float),
+                "log_lik": posterior.log_lik_trace,
+                "accept_q": posterior.accept_trace,
+            }
+        )
     return monitor.report(publish=False)
 
 

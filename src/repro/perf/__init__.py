@@ -73,9 +73,14 @@ class Regression:
 
 
 def time_callable(fn: Callable[[], Any], rounds: int = 3) -> list[float]:
-    """Wall-clock seconds of ``rounds`` calls of ``fn`` (no warmup round)."""
+    """Wall-clock seconds of ``rounds`` calls of ``fn``, after one untimed call.
+
+    The warm-up call pays the one-off costs (lazy imports, first-touch
+    allocations, cold caches) that would otherwise land in round one.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    fn()
     times = []
     for _ in range(rounds):
         start = time.perf_counter()

@@ -40,11 +40,11 @@ from .faults import CancelToken, FaultInjector, call_with_timeout
 from .journal import RunJournal
 from .spec import CellSpec
 
-#: Per-process memo of opened journals. Persistent pool workers execute
-#: many cells against the same run directory; the manifest is immutable
-#: once created, so re-reading and re-validating it on every attempt is
-#: pure wasted I/O. Bounded: a process rarely touches more than a couple
-#: of run directories.
+#: Per-process memo of opened journals. A pool worker executes several
+#: cells of one grid against the same run directory; the manifest is
+#: immutable once created, so re-reading and re-validating it on every
+#: attempt is pure wasted I/O. Bounded: a process rarely touches more
+#: than a couple of run directories.
 _MAX_OPEN_JOURNALS = 16
 _journal_lock = threading.Lock()
 _open_journals: dict[str, RunJournal] = {}

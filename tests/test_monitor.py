@@ -310,22 +310,29 @@ class TestDPMHBPHealth:
         np.testing.assert_allclose(restored.log_lik_trace, posterior.log_lik_trace)
         np.testing.assert_allclose(restored.accept_trace, posterior.accept_trace)
 
-    def test_pre_monitoring_checkpoints_still_load(self, tmp_path):
-        """Old ``.npz`` checkpoints lack the sweep traces; load must cope."""
-        failures, features = _synthetic_segments()
-        posterior = DPMHBP(n_sweeps=6, burn_in=2, seed=0).fit(failures, features)
-        posterior.save(tmp_path / "new.npz")
-        with np.load(tmp_path / "new.npz") as arrays:
-            old = {
-                k: arrays[k]
-                for k in arrays.files
-                if k not in ("log_lik_trace", "accept_trace")
-            }
-        np.savez(tmp_path / "old.npz", **old)
-        restored = DPMHBPPosterior.load(tmp_path / "old.npz")
-        assert restored.log_lik_trace.size == 0
-        assert restored.accept_trace.size == 0
-        np.testing.assert_allclose(restored.rho_mean, posterior.rho_mean)
+    def test_traceless_checkpoint_is_refit_and_skipped(self, small_model_data, tmp_path):
+        """A ``chain_0.npz`` without the sweep traces is not a checkpoint:
+        the model refits the chain and the doctor leaves it out."""
+        config = dict(n_sweeps=6, burn_in=2, n_chains=1, jobs=1, seed=3)
+        reference = DPMHBPModel(**config).fit(small_model_data).chain_posteriors_[0]
+        path = tmp_path / "chain_0.npz"
+        np.savez(
+            path,
+            rho_mean=np.zeros_like(reference.rho_mean),  # a restore would show
+            rho_std=reference.rho_std,
+            n_clusters_trace=reference.n_clusters_trace,
+            last_assignments=reference.last_assignments,
+            last_q=reference.last_q,
+            accept_rate_q=np.asarray(reference.accept_rate_q),
+        )
+        with pytest.raises(ValueError, match="corrupt DPMHBP chain checkpoint"):
+            DPMHBPPosterior.load(path)
+        assert collect_health(tmp_path) == {}
+        model = DPMHBPModel(**config, checkpoint_dir=str(tmp_path)).fit(small_model_data)
+        np.testing.assert_array_equal(
+            model.chain_posteriors_[0].rho_mean, reference.rho_mean
+        )
+        assert DPMHBPPosterior.load(path).log_lik_trace.shape == (6,)
 
     def test_model_pools_chains_into_health(self, small_model_data, tmp_path):
         model = DPMHBPModel(

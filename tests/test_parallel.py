@@ -2,6 +2,12 @@
 guarantee — serial, threaded and multi-process execution are bit-identical
 for fixed seeds, both for DPMHBP chains and for ``run_comparison`` cells."""
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,10 +21,7 @@ from repro.parallel import (
     ExecutorConfig,
     cached_model_data,
     clear_model_data_cache,
-    compute_chunksize,
     parallel_map,
-    pool_stats,
-    pools_enabled,
     resolve_executor,
 )
 
@@ -30,9 +33,32 @@ def _square(x):
     return x * x
 
 
-def _pools_enabled_in_worker(_):
-    """Reports whether the executing process would use persistent pools."""
-    return pools_enabled()
+def _raise_on_odd(x):
+    if x % 2:
+        raise ValueError(f"item {x} is odd")
+    return x
+
+
+def _kill_self(_):  # pragma: no cover — runs (and dies) in a worker
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _inner_map(x):
+    return parallel_map(_square, [x, x + 1], ExecutorConfig(mode="processes", jobs=2))
+
+
+#: A processes-mode map whose items each run a 2-process map of their own
+#: (a grid cell fitting multi-chain DPMHBP under REPRO_EXECUTOR=processes),
+#: run in a fresh interpreter so a pool left behind shows up as a hang at exit.
+_NESTED_MAPS = textwrap.dedent(
+    """
+    from repro.parallel import ExecutorConfig, parallel_map
+    from tests.test_parallel import _inner_map
+
+    config = ExecutorConfig(mode="processes", jobs=2)
+    print(parallel_map(_inner_map, range(3), config))
+    """
+)
 
 
 def _light_models(seed):
@@ -118,54 +144,31 @@ class TestParallelMap:
         with pytest.raises(ZeroDivisionError):
             parallel_map(lambda x: 1 // x, [1, 0], ExecutorConfig(mode="threads", jobs=2))
 
-    def test_explicit_chunksize_accepted_on_every_backend(self):
-        for mode in EXECUTORS:
-            config = ExecutorConfig(mode=mode, jobs=2 if mode != "serial" else 1)
-            assert parallel_map(_square, range(7), config, chunksize=3) == [
-                x * x for x in range(7)
-            ]
+    def test_worker_exception_propagates_from_processes(self):
+        with pytest.raises(ValueError, match="odd"):
+            parallel_map(_raise_on_odd, range(4), ExecutorConfig(mode="processes", jobs=2))
 
 
-class TestPersistentPools:
-    def test_chunksize_balances_waves(self):
-        assert compute_chunksize(1, 4) == 1
-        assert compute_chunksize(8, 2) == 1
-        assert compute_chunksize(64, 2) == 8
-        assert compute_chunksize(1000, 4) == 62
-
-    def test_pool_reused_across_maps(self):
-        assert pools_enabled()
+class TestProcessesBackend:
+    def test_killed_worker_breaks_only_its_map(self):
         config = ExecutorConfig(mode="processes", jobs=2)
-        before = pool_stats()
-        parallel_map(_square, range(4), config)
-        parallel_map(_square, range(4), config)
-        after = pool_stats()
-        # At least one of the two maps hit an existing pool (the first may
-        # itself reuse a pool from an earlier test — that's the point).
-        assert after["reused"] >= before["reused"] + 1
-        assert after["created"] <= before["created"] + 1
+        # Two items: a single-item map short-circuits to the in-process
+        # serial path, which would kill the test process itself.
+        with pytest.raises(BrokenProcessPool):
+            parallel_map(_kill_self, [0, 1], config)
+        assert parallel_map(_square, range(4), config) == [0, 1, 4, 9]
 
-    def test_workers_never_nest_persistent_pools(self):
-        """Nested fan-out inside a worker must stay per-call.
-
-        A persistent grandchild pool outlives its map and wedges the
-        worker's interpreter shutdown (regression: `repro grid --executor
-        processes` hung at exit because every cell's multi-chain DPMHBP
-        fit built a persistent pool inside its worker).
-        """
-        config = ExecutorConfig(mode="processes", jobs=2)
-        flags = parallel_map(_pools_enabled_in_worker, range(4), config, chunksize=1)
-        assert flags == [False] * 4
-        assert pools_enabled()  # the parent itself still reuses pools
-
-    def test_pool_reuse_can_be_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_REUSE", "0")
-        assert not pools_enabled()
-        before = pool_stats()
-        config = ExecutorConfig(mode="processes", jobs=2)
-        assert parallel_map(_square, range(4), config) == [x * x for x in range(4)]
-        # The per-call path never touches the registry.
-        assert pool_stats() == before
+    def test_nested_process_maps_return_and_exit(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        result = subprocess.run(
+            [sys.executable, "-c", _NESTED_MAPS],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[[0, 1], [1, 4], [4, 9]]"
 
 
 @dataclass
