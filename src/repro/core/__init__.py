@@ -3,7 +3,7 @@
 from .base import FailureModel, ranking_features
 from .dpmhbp import DPMHBP, DPMHBPModel, DPMHBPPosterior
 from .grouping import GROUPINGS, fixed_grouping, segment_grouping
-from .hbp import HBPModel, HBPPosterior, fit_hbp
+from .hbp import FailureDataError, HBPModel, HBPPosterior, fit_hbp
 from .ranking import (
     AUCRankingModel,
     DifferentialEvolution,
@@ -26,6 +26,7 @@ __all__ = [
     "GROUPINGS",
     "fixed_grouping",
     "segment_grouping",
+    "FailureDataError",
     "HBPModel",
     "HBPPosterior",
     "fit_hbp",

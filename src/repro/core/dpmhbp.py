@@ -58,9 +58,10 @@ only change if two noisy log-weights tied to within a few ulps. ``tests/test_dpm
 pins posteriors recorded with a plain one-visit-at-a-time scan.
 
 Around the scan: auxiliary-cluster weights for every segment come from
-one ``betaln`` call, the ``q_k`` block scores a cluster through its
-(m+1)-bin failure-count histogram instead of its member vector, and the
-conjugate Gaussian block updates every cluster mean in one batch.
+one ``betaln`` call, the ``q_k`` block is HBP's
+(:func:`repro.core.hbp.update_group_rates`, scoring each cluster through
+its (m+1)-bin failure-count histogram), and the conjugate Gaussian block
+updates every cluster mean in one batch.
 """
 
 from __future__ import annotations
@@ -79,14 +80,19 @@ import numpy as np
 from scipy.special import betaln
 
 from .. import telemetry
-from ..bayes.distributions import beta_logpdf
 from ..features.builder import ModelData
-from ..inference.metropolis import AdaptiveScale, metropolis_probability_step
-from ..ml.glm import PoissonRegression
+from ..inference.metropolis import AdaptiveScale
 from ..monitor.health import ChainHealth, HealthReport
 from ..parallel.blas import single_blas_thread
 from ..parallel.executor import parallel_map, resolve_executor
 from .base import FailureModel
+from .hbp import (
+    beta_binomial_column,
+    count_histogram,
+    failure_counts,
+    pipe_covariate_factor,
+    update_group_rates,
+)
 
 #: Per-sweep scalars handed to ``sweep_callback`` and the health monitor.
 SweepCallback = Callable[[int, Mapping[str, float]], None]
@@ -193,7 +199,6 @@ class _Clusters:
     def __init__(self, c_group: float, m: float, d: int):
         self.c = c_group
         self.m = m
-        self._s_grid = np.arange(m + 1.0)
         self.q = np.zeros(0)
         self.mu = np.zeros((0, d))
         self.mu_sq = np.zeros(0)
@@ -205,19 +210,12 @@ class _Clusters:
     def k(self) -> int:
         return self.q.size
 
-    def bb_column(self, q: float) -> np.ndarray:
-        """Beta–Binomial log marginal for s = 0..m at group rate ``q``."""
-        s = self._s_grid
-        a = self.c * q
-        b = self.c * (1.0 - q)
-        return betaln(a + s, b + self.m - s) - betaln(a, b)
-
     def add(self, q: float, mu: np.ndarray, count: int) -> int:
         self.q = np.append(self.q, q)
         self.mu = np.vstack([self.mu, mu])
         self.mu_sq = np.append(self.mu_sq, float(mu @ mu))
         self.count = np.append(self.count, count)
-        self.bbT = np.column_stack([self.bbT, self.bb_column(q)])
+        self.bbT = np.column_stack([self.bbT, beta_binomial_column(q, self.c, self.m)])
         self.scales.append(AdaptiveScale())
         return self.k - 1
 
@@ -543,12 +541,14 @@ class DPMHBP:
         features: np.ndarray | None = None,
         init_labels: np.ndarray | None = None,
     ) -> DPMHBPPosterior:
-        """Run the sampler on a binary (segments × years) failure matrix.
+        """Run the sampler on a 0/1 (segments × years) failure matrix.
 
         ``init_labels`` optionally seeds the partition (e.g. a coarse
         attribute crossing); the CRP moves then merge/split/refine it. A
         good seed shortens burn-in dramatically — the stationary
-        distribution is unchanged.
+        distribution is unchanged. Raises
+        :class:`~repro.core.hbp.FailureDataError` on any failure entry
+        other than 0 or 1.
         """
         # Pinned here as well as in ``fit_predict``: chains run in pool
         # workers, outside any model's fit.
@@ -567,13 +567,10 @@ class DPMHBP:
         features: np.ndarray | None,
         init_labels: np.ndarray | None,
     ) -> DPMHBPPosterior:
-        failures = np.asarray(failures)
-        if failures.ndim != 2:
-            raise ValueError("failures must be (segments, years)")
-        n_seg, n_years = failures.shape
+        s = failure_counts(failures)
+        n_seg, n_years = np.shape(failures)
         if self.burn_in >= self.n_sweeps:
             raise ValueError("burn_in must be smaller than n_sweeps")
-        s = failures.sum(axis=1).astype(np.int64)
         m = float(n_years)
 
         use_features = features is not None and self.feature_weight > 0.0
@@ -625,8 +622,6 @@ class DPMHBP:
         q_accepts_prev = 0
         q_props_prev = 0
 
-        a0 = self.c0 * self.q0
-        b0 = self.c0 * (1.0 - self.q0)
         n_bins = int(m) + 1
 
         for sweep in range(self.n_sweeps):
@@ -634,32 +629,26 @@ class DPMHBP:
             scan.sweep()
 
             # ---- Block 2: q_k via logit Metropolis (collapsed ρ) ----
-            # Failure counts live on the small grid 0..m, so a cluster's
-            # collapsed likelihood is its count-histogram dotted with the
-            # (m+1)-long Beta–Binomial table — O(m) per target evaluation
-            # regardless of cluster size.
+            # HBP's block on the current clusters (no cluster is empty,
+            # so the histogram has one row per cluster). Only accepted
+            # rates are adopted, and their table columns refreshed.
             k_tot = clusters.k
-            hist = (
-                np.bincount(z * n_bins + s, minlength=k_tot * n_bins)
-                .reshape(k_tot, n_bins)
-                .astype(float)
+            new_q, accepted = update_group_rates(
+                clusters.q,
+                count_histogram(z, s, n_bins),
+                [sc.scale for sc in clusters.scales],
+                rng,
+                self.q0,
+                self.c0,
+                self.c_group,
             )
-            for k in range(k_tot):
-
-                def log_target(qk: float, hk=hist[k]) -> float:
-                    prior = float(beta_logpdf(qk, a0, b0))
-                    return prior + float(hk @ clusters.bb_column(qk))
-
-                scale = clusters.scales[k]
-                new_q, accepted = metropolis_probability_step(
-                    float(clusters.q[k]), log_target, scale.scale, rng
-                )
-                scale.update(accepted)
-                q_props += 1
-                q_accepts += int(accepted)
-                if accepted:
-                    clusters.q[k] = new_q
-                    clusters.bbT[:, k] = clusters.bb_column(new_q)
+            for scale, ok in zip(clusters.scales, accepted):
+                scale.update(ok)
+            q_props += k_tot
+            q_accepts += int(accepted.sum())
+            for k in np.flatnonzero(accepted):
+                clusters.q[k] = new_q[k]
+                clusters.bbT[:, k] = beta_binomial_column(new_q[k], self.c_group, m)
 
             # ---- Block 3: cluster feature means (conjugate Gaussian) ----
             if use_features:
@@ -861,13 +850,9 @@ class DPMHBPModel(FailureModel):
             ),
         )
         self.health_ = self._pool_health() if self.monitor else None
-        if self.covariates:
-            counts = data.pipe_fail_train.sum(axis=1).astype(float)
-            exposure = np.full(data.n_pipes, float(data.pipe_fail_train.shape[1]))
-            glm = PoissonRegression(l2=1e-2).fit(data.X_pipe, counts, exposure=exposure)
-            self._factor = glm.covariate_factor(data.X_pipe)
-        else:
-            self._factor = np.ones(data.n_pipes)
+        self._factor = (
+            pipe_covariate_factor(data) if self.covariates else np.ones(data.n_pipes)
+        )
         return self
 
     def _pool_health(self) -> HealthReport:

@@ -10,17 +10,26 @@ extreme sparsity of per-pipe records.
 Inference is Metropolis-within-Gibbs:
 
 * ``π_i`` — exact conjugate Beta draw given ``q_k`` and the pipe's counts;
-* ``q_k`` — logit-scale random-walk Metropolis against the collapsed
-  Beta–Binomial likelihood of its members (the Beta layer over ``π`` is
-  integrated out for this block, improving mixing).
+* ``q_k`` — :func:`update_group_rates`, one logit-scale random-walk
+  Metropolis step per group against the collapsed Beta–Binomial likelihood
+  of its members (the Beta layer over ``π`` is integrated out for this
+  block, improving mixing).
+
+Every unit has the same number of years ``m``, so a group's collapsed
+likelihood is its (m+1)-bin failure-count histogram (:func:`count_histogram`)
+dotted with the Beta–Binomial column over ``s = 0..m``
+(:func:`beta_binomial_column`): O(m) per evaluation, whatever the group's
+size. DPMHBP (Eq. 18.7) is this hierarchy with the grouping drawn from a
+CRP, and runs the same ``q_k`` block on its clusters.
 
 Covariates modulate the posterior risk multiplicatively, Cox-style, via a
-Poisson GLM factor (``repro.ml.PoissonRegression.covariate_factor``).
+Poisson GLM factor (:func:`pipe_covariate_factor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +39,96 @@ from ..inference.metropolis import AdaptiveScale, metropolis_probability_step
 from ..ml.glm import PoissonRegression
 from .base import FailureModel
 from .grouping import fixed_grouping
+
+
+class FailureDataError(ValueError):
+    """Failure data or group labels the collapsed likelihood cannot score."""
+
+
+def failure_counts(failures: np.ndarray) -> np.ndarray:
+    """Failures per unit of a 0/1 (units × years) matrix, as int64.
+
+    Raises :class:`FailureDataError` on any entry other than 0 or 1: a
+    count past ``m`` has no Beta–Binomial bin, and a 2 would be scored as
+    an extra failure.
+    """
+    failures = np.asarray(failures)
+    if failures.ndim != 2:
+        raise FailureDataError("failures must be a (units, years) matrix")
+    if not ((failures == 0) | (failures == 1)).all():
+        raise FailureDataError("failures must hold only 0 and 1")
+    return failures.sum(axis=1).astype(np.int64)
+
+
+def count_histogram(labels: np.ndarray, s: np.ndarray, n_bins: int) -> np.ndarray:
+    """Per-group histogram of failure counts, shape ``(K, n_bins)``.
+
+    Row ``k`` counts the units labelled ``k`` with ``0..n_bins−1``
+    failures; ``K = max(labels) + 1``. Raises :class:`FailureDataError`
+    on a negative label, which would otherwise index from the end.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != s.shape:
+        raise FailureDataError("labels must have one entry per unit")
+    if labels.min() < 0:
+        raise FailureDataError("group labels must be non-negative")
+    n_groups = int(labels.max()) + 1
+    return (
+        np.bincount(labels * n_bins + s, minlength=n_groups * n_bins)
+        .reshape(n_groups, n_bins)
+        .astype(float)
+    )
+
+
+def beta_binomial_column(q: float, c_group: float, m: float) -> np.ndarray:
+    """Beta–Binomial log marginal for ``s = 0..m`` at group rate ``q``."""
+    return beta_binomial_logmarginal(np.arange(m + 1.0), m, c_group * q, c_group * (1.0 - q))
+
+
+def update_group_rates(
+    q: np.ndarray,
+    hist: np.ndarray,
+    step_sizes: Sequence[float],
+    rng: np.random.Generator,
+    q0: float,
+    c0: float,
+    c_group: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``q_k`` block: one logit-Metropolis step per group rate.
+
+    Group ``k`` targets its ``Beta(c0·q0, c0·(1−q0))`` prior times the
+    collapsed likelihood ``hist[k] @ beta_binomial_column(q_k)``, with
+    proposal scale ``step_sizes[k]``. Returns the stepped rates and the
+    accept mask; a rejected step's rate is ``expit(logit(q_k))``, which
+    can differ from ``q_k`` in the last bit. Nothing is mutated.
+    """
+    a0 = c0 * q0
+    b0 = c0 * (1.0 - q0)
+    m = float(hist.shape[1] - 1)
+    new_q = np.empty(q.size)
+    accepted = np.zeros(q.size, dtype=bool)
+    for k in range(q.size):
+
+        def log_target(qk: float, hk=hist[k]) -> float:
+            prior = float(beta_logpdf(qk, a0, b0))
+            return prior + float(hk @ beta_binomial_column(qk, c_group, m))
+
+        new_q[k], accepted[k] = metropolis_probability_step(
+            float(q[k]), log_target, step_sizes[k], rng
+        )
+    return new_q, accepted
+
+
+def pipe_covariate_factor(data: ModelData) -> np.ndarray:
+    """Multiplicative per-pipe risk factor from the pipe covariates.
+
+    A ridge Poisson GLM of each pipe's training failure count, with the
+    training years as exposure; shared by HBP and DPMHBP.
+    """
+    counts = data.pipe_fail_train.sum(axis=1).astype(float)
+    exposure = np.full(data.n_pipes, float(data.pipe_fail_train.shape[1]))
+    glm = PoissonRegression(l2=1e-2).fit(data.X_pipe, counts, exposure=exposure)
+    return glm.covariate_factor(data.X_pipe)
 
 
 @dataclass
@@ -51,70 +150,43 @@ def fit_hbp(
     n_sweeps: int = 250,
     burn_in: int = 100,
     seed: int = 0,
-    sampler: str = "metropolis",
 ) -> HBPPosterior:
-    """Run the HBP sampler on a binary (units × years) failure matrix.
+    """Run the HBP sampler on a 0/1 (units × years) failure matrix.
 
-    ``groups`` assigns each unit (pipe or segment) to one of K groups.
-    Returns posterior means of the per-unit failure probabilities ``π``
-    and group rates ``q``. ``sampler`` selects the non-conjugate ``q_k``
-    update: adaptive random-walk ``"metropolis"`` (default) or tuning-free
-    ``"slice"`` sampling.
+    ``groups`` assigns each unit (pipe or segment) to one of K groups,
+    labelled ``0..K−1``. Returns posterior means of the per-unit failure
+    probabilities ``π`` and group rates ``q``. Raises
+    :class:`FailureDataError` on non-binary failures or negative labels.
     """
-    if sampler not in ("metropolis", "slice"):
-        raise ValueError(f"unknown sampler {sampler!r}")
-    failures = np.asarray(failures)
-    if failures.ndim != 2:
-        raise ValueError("failures must be (units, years)")
-    groups = np.asarray(groups, dtype=np.int64)
-    n_units, n_years = failures.shape
-    if groups.shape != (n_units,):
-        raise ValueError("groups must have one label per unit")
+    s = failure_counts(failures)
+    n_units, n_years = np.shape(failures)
     if burn_in >= n_sweeps:
         raise ValueError("burn_in must be smaller than n_sweeps")
-    n_groups = int(groups.max()) + 1
-    s = failures.sum(axis=1).astype(float)  # successes per unit
+    hist = count_histogram(groups, s, n_years + 1)
+    groups = np.asarray(groups, dtype=np.int64)
+    n_groups = hist.shape[0]
     m = float(n_years)
 
     rng = np.random.default_rng(seed)
     q = np.full(n_groups, q0)
     scales = [AdaptiveScale() for _ in range(n_groups)]
-    member_s = [s[groups == k] for k in range(n_groups)]
 
     pi_acc = np.zeros(n_units)
     q_acc = np.zeros(n_groups)
     q_trace: list[np.ndarray] = []
     n_accept = 0
-    n_prop = 0
     kept = 0
     for sweep in range(n_sweeps):
-        # Block 1: q_k via logit Metropolis on the collapsed likelihood.
-        for k in range(n_groups):
-            sk = member_s[k]
-
-            def log_target(qk: float, sk=sk) -> float:
-                prior = float(beta_logpdf(qk, c0 * q0, c0 * (1.0 - q0)))
-                lik = float(
-                    np.sum(
-                        beta_binomial_logmarginal(sk, m, c_group * qk, c_group * (1.0 - qk))
-                    )
-                )
-                return prior + lik
-
-            if sampler == "slice":
-                from ..inference.slice import slice_probability_step
-
-                q[k] = slice_probability_step(q[k], log_target, rng)
-                accepted = True  # slice updates always move within the slice
-            else:
-                q[k], accepted = metropolis_probability_step(
-                    q[k], log_target, scales[k].scale, rng
-                )
-                scales[k].update(accepted)
-            n_prop += 1
-            n_accept += int(accepted)
+        # Block 1: q_k given the fixed grouping's count histograms.
+        # Rejected rates are adopted too: the recorded chains include their expit(logit(q)).
+        q, accepted = update_group_rates(
+            q, hist, [sc.scale for sc in scales], rng, q0, c0, c_group
+        )
+        for scale, ok in zip(scales, accepted):
+            scale.update(ok)
             if sweep == burn_in:
-                scales[k].freeze()
+                scale.freeze()
+        n_accept += int(accepted.sum())
 
         # Block 2: π_i exact conjugate draw given q.
         a = c_group * q[groups] + s
@@ -124,14 +196,14 @@ def fit_hbp(
         if sweep >= burn_in:
             pi_acc += pi
             q_acc += q
-            q_trace.append(q.copy())
+            q_trace.append(q)
             kept += 1
 
     return HBPPosterior(
         pi_mean=pi_acc / kept,
         q_mean=q_acc / kept,
         q_trace=np.asarray(q_trace),
-        accept_rate=n_accept / max(n_prop, 1),
+        accept_rate=n_accept / max(n_sweeps * n_groups, 1),
     )
 
 
@@ -169,13 +241,9 @@ class HBPModel(FailureModel):
             burn_in=self.burn_in,
             seed=self.seed,
         )
-        if self.covariates:
-            counts = data.pipe_fail_train.sum(axis=1).astype(float)
-            exposure = np.full(data.n_pipes, float(data.pipe_fail_train.shape[1]))
-            glm = PoissonRegression(l2=1e-2).fit(data.X_pipe, counts, exposure=exposure)
-            self._factor = glm.covariate_factor(data.X_pipe)
-        else:
-            self._factor = np.ones(data.n_pipes)
+        self._factor = (
+            pipe_covariate_factor(data) if self.covariates else np.ones(data.n_pipes)
+        )
         return self
 
     def predict_pipe_risk(self, data: ModelData) -> np.ndarray:

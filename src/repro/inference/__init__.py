@@ -1,4 +1,4 @@
-"""From-scratch MCMC substrate: Metropolis steps, Gibbs driver, diagnostics."""
+"""From-scratch MCMC substrate: Metropolis steps, traces, diagnostics."""
 
 from .chains import Trace
 from .diagnostics import (
@@ -8,7 +8,6 @@ from .diagnostics import (
     split_rhat,
     summarise_chain,
 )
-from .gibbs import GibbsSampler
 from .metropolis import (
     TARGET_ACCEPT_1D,
     AcceptanceTracker,
@@ -18,7 +17,6 @@ from .metropolis import (
     metropolis_probability_step,
     metropolis_step,
 )
-from .slice import slice_probability_step, slice_sample_step
 
 __all__ = [
     "Trace",
@@ -27,7 +25,6 @@ __all__ = [
     "geweke_zscore",
     "split_rhat",
     "summarise_chain",
-    "GibbsSampler",
     "TARGET_ACCEPT_1D",
     "AcceptanceTracker",
     "AdaptiveScale",
@@ -35,6 +32,4 @@ __all__ = [
     "logit",
     "metropolis_probability_step",
     "metropolis_step",
-    "slice_probability_step",
-    "slice_sample_step",
 ]

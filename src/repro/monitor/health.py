@@ -281,7 +281,7 @@ class ChainHealth:
     Two ways in:
 
     * **live** — pass :meth:`as_callback` as a sampler's per-sweep hook
-      (``DPMHBP(sweep_callback=...)``, ``GibbsSampler(monitor=...)``);
+      (``DPMHBP(sweep_callback=...)``) or call :meth:`on_sweep` directly;
       every sweep's scalars are recorded into the chain's
       :class:`~repro.inference.chains.Trace` and mirrored to telemetry
       gauges (``chain.<name>``) when telemetry is on;

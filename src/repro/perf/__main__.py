@@ -91,7 +91,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     from ..data import load_region
     from ..features import build_model_data
     from ..parallel import parallel_map, resolve_executor
-    from .benchmarks import make_health_noop, make_telemetry_noop
+    from .benchmarks import make_telemetry_noop
 
     rng = np.random.default_rng(0)
     failures = (rng.random((500, 11)) < 0.02).astype(np.int8)
@@ -132,9 +132,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         # effectively free, or the permanent hot-path instrumentation is
         # taxing every sweep (see telemetry.recorder).
         "telemetry_noop_200k": make_telemetry_noop(),
-        # Unmonitored-sweep overhead: the health hook with monitor=None
-        # must stay one None check per sweep (see inference.gibbs).
-        "health_noop_50k": make_health_noop(),
         # Fan-out sanity under whatever REPRO_EXECUTOR/REPRO_JOBS the CI
         # run sets: two maps over eight 400 kB rows (pickled to the
         # workers in processes mode) must agree.

@@ -158,26 +158,6 @@ def make_telemetry_noop() -> Callable[[], Any]:
     return run
 
 
-def make_health_noop() -> Callable[[], Any]:
-    """50k unmonitored Gibbs sweeps — the cost the health hook leaves behind.
-
-    The :class:`~repro.inference.gibbs.GibbsSampler` sweep loop gained a
-    per-sweep monitor hook; with ``monitor=None`` (the default) that hook
-    must stay one ``None`` check, not a scalars-dict build. This probe
-    times a trivial one-block sampler so any accidental work on the
-    unmonitored path shows up here, mirroring ``telemetry_noop``.
-    """
-    from ..inference.gibbs import GibbsSampler
-
-    def run() -> int:
-        sampler = GibbsSampler(state={"x": 0.0}, rng=np.random.default_rng(0))
-        sampler.add_block("noop", lambda state, rng: {"accept": 1.0})
-        sampler.run(50_000)
-        return 0
-
-    return run
-
-
 #: Registry consumed by ``repro.perf.run_benchmarks`` — name → factory.
 BENCHMARKS: dict[str, Benchmark] = {
     "dpmhbp_sweeps": make_dpmhbp_sweeps,
@@ -188,5 +168,4 @@ BENCHMARKS: dict[str, Benchmark] = {
     "ranksvm_fit": make_ranksvm_fit,
     "run_journal": make_run_journal,
     "telemetry_noop": make_telemetry_noop,
-    "health_noop": make_health_noop,
 }

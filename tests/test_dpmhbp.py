@@ -7,6 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.dpmhbp import DPMHBP, DPMHBPModel, _CRPScan, _GumbelStream
+from repro.core.hbp import FailureDataError
 from repro.core.ranking.objective import empirical_auc
 from repro.perf.benchmarks import make_dpmhbp_sweeps
 
@@ -130,6 +131,18 @@ class TestSampler:
             DPMHBP(n_sweeps=5, burn_in=1).fit(
                 np.zeros((4, 3), dtype=np.int8), np.zeros((5, 2))
             )
+
+    def test_rejects_entries_other_than_zero_and_one(self, rng):
+        failures, features, _ = clustered_data(rng, n_per=20)
+        failures[4, 2] = 2  # the row still sums to at most m
+        with pytest.raises(FailureDataError, match="only 0 and 1"):
+            DPMHBP(n_sweeps=5, burn_in=1).fit(failures, features)
+
+    def test_rejects_row_summing_past_years(self, rng):
+        failures, features, _ = clustered_data(rng, n_per=20)
+        failures[0] = 3
+        with pytest.raises(FailureDataError):
+            DPMHBP(n_sweeps=5, burn_in=1).fit(failures, features)
 
     def test_deterministic_given_seed(self, rng):
         failures, features, _ = clustered_data(rng, n_per=30)

@@ -44,7 +44,6 @@ class TestTiming:
             "ranksvm_fit",
             "run_journal",
             "telemetry_noop",
-            "health_noop",
         }
 
     def test_unknown_benchmark_rejected(self):
